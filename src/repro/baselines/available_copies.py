@@ -256,21 +256,6 @@ class AvailableCopiesProtocol(Protocol):
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, LockRequest):
-            self._on_lock_request(proc, action)
-            return True
-        if isinstance(action, LockGrant):
-            self._on_lock_grant(proc, action)
-            return True
-        if isinstance(action, ApplyUnlock):
-            self._on_apply_unlock(proc, action)
-            return True
-        if isinstance(action, UpdateAck):
-            self._on_update_ack(proc, action)
-            return True
-        return super().handle(proc, action)
-
     def _on_lock_request(self, proc: "Processor", action: LockRequest) -> None:
         engine = self._engine()
         copy = engine.copy_at(proc, action.node_id)
@@ -366,6 +351,14 @@ class AvailableCopiesProtocol(Protocol):
         round_state["awaiting"].discard(action.from_pid)
         if not round_state["awaiting"]:
             self._complete_round(proc, copy)
+
+    handlers = {
+        **Protocol.handlers,
+        LockRequest: _on_lock_request,
+        LockGrant: _on_lock_grant,
+        ApplyUnlock: _on_apply_unlock,
+        UpdateAck: _on_update_ack,
+    }
 
     def _complete_round(self, proc: "Processor", copy: NodeCopy) -> None:
         state = self._state(copy)

@@ -15,7 +15,7 @@ every location, no forwarding addresses are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.node import NodeCopy
 from repro.protocols.mobile import MobileProtocol
@@ -55,10 +55,14 @@ class EagerBroadcastProtocol(MobileProtocol):
             )
         engine.trace.bump("location_broadcasts")
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, LocationBroadcast):
-            self._engine().learn_location(
-                proc, action.node_id, (action.new_pid,), action.version
-            )
-            return True
-        return super().handle(proc, action)
+    def _on_location_broadcast(
+        self, proc: "Processor", action: LocationBroadcast
+    ) -> None:
+        self._engine().learn_location(
+            proc, action.node_id, (action.new_pid,), action.version
+        )
+
+    handlers = {
+        **MobileProtocol.handlers,
+        LocationBroadcast: _on_location_broadcast,
+    }

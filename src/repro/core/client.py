@@ -155,7 +155,9 @@ class DBTreeCluster:
         Total desired copies per leaf under crashes: 1 (default)
         keeps the paper's single-copy leaves (a crash loses the leaf
         and the audit reports it); >= 2 maintains ``factor - 1``
-        ring-successor mirrors that are promoted when the home dies.
+        ring-successor mirrors that are promoted when the home dies,
+        and needs ``crash_plan`` or ``detector_plan`` and at least 2
+        processors (otherwise ``ValueError``).
     recovery_mode:
         ``"lazy"`` (default) repairs interior replication on demand
         via the join path; ``"eager"`` re-replicates immediately on
@@ -174,10 +176,6 @@ class DBTreeCluster:
         byte-identical.
     repair_fanout:
         Peers contacted per gossip round when repair is enabled.
-    repair_plan:
-        Full :class:`~repro.repair.RepairPlan` for fine tuning
-        (buckets, dormancy, log cap); overrides ``repair_period`` /
-        ``repair_fanout``.
     permute_plan:
         Optional :class:`~repro.sim.permute.PermutePlan` turning on
         the schedule permuter: seeded swaps of deliveries the
@@ -230,7 +228,6 @@ class DBTreeCluster:
         mirror_placement: str = "ring",
         repair_period: float | None = None,
         repair_fanout: int = 1,
-        repair_plan: Any | None = None,
         permute_plan: PermutePlan | None = None,
         partition_plan: PartitionPlan | None = None,
         detector_plan: DetectorPlan | None = None,
@@ -321,7 +318,8 @@ class DBTreeCluster:
                     "detector_plan implies a crash-capable cluster and "
                     "permuted schedules are incomparable under crashes"
                 )
-        if repair_plan is None and repair_period is not None:
+        repair_plan = None
+        if repair_period is not None:
             from repro.repair import RepairPlan
 
             repair_plan = RepairPlan(period=repair_period, fanout=repair_fanout)

@@ -25,7 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from types import MethodType
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.core.actions import (
     CreateCopy,
@@ -81,7 +82,7 @@ class SplitResult:
     sibling_version: int
 
 
-ExtraHandler = Callable[[Processor, Any], bool]
+Handler = Callable[[Processor, Any], None]
 
 
 class DBTreeEngine:
@@ -122,6 +123,14 @@ class DBTreeEngine:
             raise ValueError(
                 f"replication_factor must be >= 1, got {replication_factor}"
             )
+        if replication_factor >= 2 and (
+            kernel.crash_controller is None or len(kernel.pids) < 2
+        ):
+            raise ValueError(
+                "replication_factor >= 2 needs a crash-capable cluster "
+                "(crash_plan or detector_plan) of at least 2 processors: "
+                "leaf mirrors exist only to survive crashes of the home"
+            )
         if recovery_mode not in ("lazy", "eager"):
             raise ValueError(
                 f"recovery_mode must be 'lazy' or 'eager', got {recovery_mode!r}"
@@ -135,11 +144,7 @@ class DBTreeEngine:
         # never allocates, schedules, or sends anything extra.
         controller = kernel.crash_controller
         self._crash_enabled = controller is not None
-        self._mirror_enabled = (
-            self._crash_enabled
-            and replication_factor >= 2
-            and len(kernel.pids) > 1
-        )
+        self._mirror_enabled = replication_factor >= 2
         self._dedup_returns = self._crash_enabled or op_timeout is not None
         self.mirror_placement = make_placement(mirror_placement)
         #: The anti-entropy service (repro.repair); None keeps every
@@ -185,7 +190,9 @@ class DBTreeEngine:
             self.relay_batcher = None
         self._next_node_id = 0
         self._next_op_id = 0
-        self._extra_handlers: list[ExtraHandler] = []
+        self._handlers: dict[type, Handler] = {
+            kind: MethodType(fn, self) for kind, fn in self.handlers.items()
+        }
         # Called as listener(op, result) when an operation completes;
         # closed-loop workload drivers hang their next submission here.
         self.op_completion_listeners: list[Callable[[OpContext, Any], None]] = []
@@ -198,6 +205,7 @@ class DBTreeEngine:
                 root_level=-1,
             )
         protocol.bind(self)
+        self.register_handlers(protocol.handlers, protocol.handle)
         kernel.install_handler(self.handle)
         self._bootstrap()
         if repair_plan is not None:
@@ -223,11 +231,6 @@ class DBTreeEngine:
         if root_id is None:
             raise RuntimeError(f"processor {proc.pid} has no root pointer")
         return root_id
-
-    def add_extra_handler(self, handler: ExtraHandler) -> None:
-        """Register a handler for actions the engine doesn't know
-        (balancer probes, baseline lock messages)."""
-        self._extra_handlers.append(handler)
 
     def _alloc_node_id(self) -> int:
         self._next_node_id += 1
@@ -602,70 +605,60 @@ class DBTreeEngine:
     # central dispatch
     # ------------------------------------------------------------------
     def handle(self, proc: Processor, action: Any) -> None:
-        # Dispatch ordered by hot-path frequency: descents and keyed
-        # updates dominate every workload, then return values.
-        if isinstance(action, SearchStep):
-            self._on_search(proc, action)
-        elif isinstance(action, (InsertAction, DeleteAction)):
-            self._on_keyed_update(proc, action)
-        elif isinstance(action, ReturnValue):
-            op_id = action.op.op_id
-            if self._dedup_returns:
-                if op_id in self._completed_ops:
-                    # An idempotent retry raced the original: the op
-                    # already returned a value; keep the first.
-                    self.trace.bump("duplicate_return_ignored")
-                    return
-                if op_id in self.op_verdicts:
-                    # A late response after the client gave up: the
-                    # verdict (timed_out / failed) already stands, so
-                    # the partitions stay disjoint.
-                    self.trace.bump("late_return_ignored")
-                    return
-                self._completed_ops.add(op_id)
-                if self.op_timeout is not None:
-                    entry = self._pending_ops.pop(op_id, None)
-                    if entry is not None and entry[1] is not None:
-                        entry[1].cancel()
-            hint = action.leaf_hint
-            if hint is not None and self._leaf_caches is not None:
-                leaf_id, low, high, copy_pids = hint
-                self._leaf_caches[proc.pid].learn(low, high, leaf_id)
-                if copy_pids:
-                    self.learn_location(proc, leaf_id, copy_pids)
-            self.trace.record_op_completed(op_id, action.result, self.now)
-            for listener in self.op_completion_listeners:
-                listener(action.op, action.result)
-        elif isinstance(action, ScanStep):
-            self._on_scan(proc, action)
-        elif isinstance(action, LinkChange):
-            self._on_link_change(proc, action)
-        elif isinstance(action, CreateCopy):
-            self._on_create_copy(proc, action)
-        elif isinstance(action, SetRoot):
-            self._on_set_root(proc, action)
-        elif isinstance(action, InitiateSplit):
-            self._on_initiate_split(proc, action)
-        elif isinstance(action, BatchedRelays):
-            for inner in action.actions:
-                proc.submit(inner)
-        elif isinstance(action, MirrorUpdate):
-            self._on_mirror_update(proc, action)
-        elif isinstance(action, PeerFailure):
-            self._on_peer_failure(proc, action)
-        elif isinstance(action, PeerRescind):
-            self._on_peer_rescind(proc, action)
-        elif isinstance(action, RecoveryAnnounce):
-            self._on_recovery_announce(proc, action)
-        elif self.protocol.handle(proc, action):
-            pass
-        else:
-            for handler in self._extra_handlers:
-                if handler(proc, action):
-                    return
+        """Execute one action: one lookup keyed by its exact type."""
+        try:
+            handler = self._handlers[type(action)]
+        except KeyError:
             raise RuntimeError(
                 f"processor {proc.pid} received unhandled action {action!r}"
-            )
+            ) from None
+        handler(proc, action)
+
+    def register_handlers(self, kinds: Iterable[type], handler: Handler) -> None:
+        """Route every action type in ``kinds`` to ``handler``.
+
+        A type has exactly one owner: the engine, the protocol, or one
+        service (repair, balancer).  Claiming an owned type raises.
+        """
+        claimed = dict.fromkeys(kinds, handler)
+        taken = self._handlers.keys() & claimed.keys()
+        if taken:
+            names = ", ".join(sorted(kind.__name__ for kind in taken))
+            raise ValueError(f"action type already has a handler: {names}")
+        self._handlers.update(claimed)
+
+    def _on_return(self, proc: Processor, action: ReturnValue) -> None:
+        op_id = action.op.op_id
+        if self._dedup_returns:
+            if op_id in self._completed_ops:
+                # An idempotent retry raced the original: the op
+                # already returned a value; keep the first.
+                self.trace.bump("duplicate_return_ignored")
+                return
+            if op_id in self.op_verdicts:
+                # A late response after the client gave up: the
+                # verdict (timed_out / failed) already stands, so
+                # the partitions stay disjoint.
+                self.trace.bump("late_return_ignored")
+                return
+            self._completed_ops.add(op_id)
+            if self.op_timeout is not None:
+                entry = self._pending_ops.pop(op_id, None)
+                if entry is not None and entry[1] is not None:
+                    entry[1].cancel()
+        hint = action.leaf_hint
+        if hint is not None and self._leaf_caches is not None:
+            leaf_id, low, high, copy_pids = hint
+            self._leaf_caches[proc.pid].learn(low, high, leaf_id)
+            if copy_pids:
+                self.learn_location(proc, leaf_id, copy_pids)
+        self.trace.record_op_completed(op_id, action.result, self.now)
+        for listener in self.op_completion_listeners:
+            listener(action.op, action.result)
+
+    def _on_batched_relays(self, proc: Processor, action: BatchedRelays) -> None:
+        for inner in action.actions:
+            proc.submit(inner)
 
     # ------------------------------------------------------------------
     # searches
@@ -1876,3 +1869,22 @@ class DBTreeEngine:
 
     def current_root_level(self) -> int:
         return max(proc.state["root_level"] for proc in self.kernel.processors.values())
+
+    #: The engine's own action types; :meth:`handle` dispatches on them
+    #: and on whatever the protocol and services register.
+    handlers = {
+        SearchStep: _on_search,
+        InsertAction: _on_keyed_update,
+        DeleteAction: _on_keyed_update,
+        ReturnValue: _on_return,
+        ScanStep: _on_scan,
+        LinkChange: _on_link_change,
+        CreateCopy: _on_create_copy,
+        SetRoot: _on_set_root,
+        InitiateSplit: _on_initiate_split,
+        BatchedRelays: _on_batched_relays,
+        MirrorUpdate: _on_mirror_update,
+        PeerFailure: _on_peer_failure,
+        PeerRescind: _on_peer_rescind,
+        RecoveryAnnounce: _on_recovery_announce,
+    }

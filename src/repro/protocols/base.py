@@ -16,7 +16,7 @@ variable-copies protocols all reuse.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.actions import (
     DeleteAction,
@@ -364,21 +364,26 @@ class Protocol:
     # ------------------------------------------------------------------
     # protocol-specific messages
     # ------------------------------------------------------------------
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        """Handle a protocol-specific message; True if consumed.
+    def handle(self, proc: "Processor", action: Any) -> None:
+        """Execute a protocol-specific message.
 
-        The engine forwards split-control, join/unjoin, and migration
-        messages here.  The base understands only relayed splits.
+        The engine routes every type in :attr:`handlers` here
+        (split control, join/unjoin, migration, baseline locks).
         """
-        if isinstance(action, RelayedSplit):
-            copy = self._engine().copy_at(proc, action.node_id)
-            if copy is None:
-                self._engine().trace.bump("relay_to_missing_copy")
-            else:
-                self.apply_relayed_split(proc, copy, action)
-                self.maybe_split(proc, copy)
-            return True
-        return False
+        self.handlers[type(action)](self, proc, action)
+
+    def _on_relayed_split(self, proc: "Processor", action: RelayedSplit) -> None:
+        copy = self._engine().copy_at(proc, action.node_id)
+        if copy is None:
+            self._engine().trace.bump("relay_to_missing_copy")
+        else:
+            self.apply_relayed_split(proc, copy, action)
+            self.maybe_split(proc, copy)
+
+    #: Action type -> handler ``fn(self, proc, action)``.  Subclasses
+    #: extend it (``{**Base.handlers, ...}``); the engine routes these
+    #: types to :meth:`handle`.  The base understands relayed splits.
+    handlers: dict[type, Callable[..., None]] = {RelayedSplit: _on_relayed_split}
 
     # ------------------------------------------------------------------
     # mobility hooks (mobile / variable protocols only)

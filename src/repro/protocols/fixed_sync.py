@@ -84,18 +84,6 @@ class SyncProtocol(Protocol):
                 SplitStart(node_id=copy.node_id, split_id=split_id, pc_pid=proc.pid),
             )
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, SplitStart):
-            self._on_split_start(proc, action)
-            return True
-        if isinstance(action, SplitAck):
-            self._on_split_ack(proc, action)
-            return True
-        if isinstance(action, SplitEnd):
-            self._on_split_end(proc, action)
-            return True
-        return super().handle(proc, action)
-
     # -- non-PC side ---------------------------------------------------
     def _on_split_start(self, proc: "Processor", action: SplitStart) -> None:
         engine = self._engine()
@@ -172,6 +160,13 @@ class SyncProtocol(Protocol):
         copy.proto["split_scheduled"] = False
         self._release(proc, copy, action.split_id)
         self.maybe_split(proc, copy)  # may still be overfull
+
+    handlers = {
+        **Protocol.handlers,
+        SplitStart: _on_split_start,
+        SplitAck: _on_split_ack,
+        SplitEnd: _on_split_end,
+    }
 
     # -- shared ----------------------------------------------------------
     def _release(self, proc: "Processor", copy: NodeCopy, split_id: int) -> None:

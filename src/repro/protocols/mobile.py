@@ -25,7 +25,7 @@ ordered history requirements (paper, Theorem 3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.actions import CreateCopy, LinkChange, MigrateNode, Mode
 from repro.core.node import NodeCopy
@@ -108,6 +108,17 @@ class MigrationMixin:
             neighbours.extend(child for _key, child in copy.entries())
         return neighbours
 
+    def _on_migrate_node(self, proc: "Processor", action: MigrateNode) -> None:
+        engine = self._engine()
+        copy = engine.copy_at(proc, action.node_id)
+        if copy is None:
+            engine.trace.bump("migrate_on_missing_copy")
+        else:
+            self.migrate(proc, copy, action.to_pid)
+
+    #: Merged into the ``handlers`` of each migrating protocol.
+    handlers = {MigrateNode: _on_migrate_node}
+
 
 class MobileProtocol(MigrationMixin, Protocol):
     """Section 4.2: unreplicated nodes, lazy migration.
@@ -134,16 +145,7 @@ class MobileProtocol(MigrationMixin, Protocol):
             engine.perform_half_split(proc, copy)
         copy.proto["split_scheduled"] = False
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, MigrateNode):
-            engine = self._engine()
-            copy = engine.copy_at(proc, action.node_id)
-            if copy is None:
-                engine.trace.bump("migrate_on_missing_copy")
-            else:
-                self.migrate(proc, copy, action.to_pid)
-            return True
-        return super().handle(proc, action)
-
     def migrate(self, proc: "Processor", copy: NodeCopy, to_pid: int) -> None:
         self.migrate_single_copy(self._engine(), proc, copy, to_pid)
+
+    handlers = {**Protocol.handlers, **MigrationMixin.handlers}

@@ -25,7 +25,7 @@ assumption for this algorithm).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.core.actions import (
     AbsorbRequest,
@@ -35,7 +35,6 @@ from repro.core.actions import (
     JoinRequest,
     JoinRetry,
     LinkChange,
-    MigrateNode,
     Mode,
     RelayedJoin,
     RelayedUnjoin,
@@ -256,43 +255,6 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             return
         self._route_absorb(proc, engine.retarget(action, copy.right_id))
 
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if isinstance(action, AbsorbRequest):
-            self._on_absorb(proc, action)
-            return True
-        if isinstance(action, JoinRequest):
-            self._on_join_request(proc, action)
-            return True
-        if isinstance(action, RelayedJoin):
-            self._on_relayed_join(proc, action)
-            return True
-        if isinstance(action, UnjoinRequest):
-            self._on_unjoin_request(proc, action)
-            return True
-        if isinstance(action, RelayedUnjoin):
-            self._on_relayed_unjoin(proc, action)
-            return True
-        if isinstance(action, UnjoinAck):
-            pending = proc.state.get("pending_unjoins")
-            if pending is not None:
-                pending.pop(action.node_id, None)
-            self._engine().trace.bump("unjoin_acks")
-            return True
-        if isinstance(action, JoinRetry):
-            # An exact (healing) join bounced; clear the suppression
-            # so the next missing relay retries.
-            self._clear_pending_join(proc, action.node_id)
-            return True
-        if isinstance(action, MigrateNode):
-            engine = self._engine()
-            copy = engine.copy_at(proc, action.node_id)
-            if copy is None:
-                engine.trace.bump("migrate_on_missing_copy")
-            else:
-                self.migrate(proc, copy, action.to_pid)
-            return True
-        return super().handle(proc, action)
-
     # ------------------------------------------------------------------
     # join
     # ------------------------------------------------------------------
@@ -511,6 +473,29 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             version=action.new_version,
             time=engine.now,
         )
+
+    def _on_unjoin_ack(self, proc: "Processor", action: UnjoinAck) -> None:
+        pending = proc.state.get("pending_unjoins")
+        if pending is not None:
+            pending.pop(action.node_id, None)
+        self._engine().trace.bump("unjoin_acks")
+
+    def _on_join_retry(self, proc: "Processor", action: JoinRetry) -> None:
+        # An exact (healing) join bounced; clear the suppression so
+        # the next missing relay retries.
+        self._clear_pending_join(proc, action.node_id)
+
+    handlers = {
+        **SemiSyncProtocol.handlers,
+        **MigrationMixin.handlers,
+        AbsorbRequest: _on_absorb,
+        JoinRequest: _on_join_request,
+        RelayedJoin: _on_relayed_join,
+        UnjoinRequest: _on_unjoin_request,
+        RelayedUnjoin: _on_relayed_unjoin,
+        UnjoinAck: _on_unjoin_ack,
+        JoinRetry: _on_join_retry,
+    }
 
     # ------------------------------------------------------------------
     # crash-stop failures: membership repair

@@ -28,8 +28,8 @@ copying:
 
 :class:`RepairService` is the facade the engine constructs when a
 :class:`~repro.repair.gossip.RepairPlan` is given: it owns the digest
-index, the gossip scheduler, and the executor, and registers itself
-through the engine's *extra handler* fallthrough so the repair-off
+index, the gossip scheduler, and the executor, and registers its
+action types in the engine's dispatch table, so the repair-off
 dispatch path is untouched.
 """
 
@@ -144,20 +144,6 @@ class HomeResolve:
     reply: bool = False
 
 
-_REPAIR_ACTIONS = (
-    GossipTick,
-    DigestOffer,
-    DigestMatch,
-    DigestDetail,
-    DigestNodes,
-    MirrorPull,
-    MirrorReturnRequest,
-    RepairPull,
-    RejoinAdvise,
-    HomeResolve,
-)
-
-
 class RepairService:
     """Background anti-entropy: digests + gossip + repair executor."""
 
@@ -171,7 +157,7 @@ class RepairService:
             self,
             seed=engine.kernel.seeds.register("gossip", engine.kernel.seed + 3),
         )
-        engine.add_extra_handler(self.handle)
+        engine.register_handlers(self.handlers, self.handle)
         controller = engine.kernel.crash_controller
         if controller is not None:
             controller.on_crash(self._on_peer_crash)
@@ -287,30 +273,9 @@ class RepairService:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def handle(self, proc: "Processor", action: Any) -> bool:
-        if not isinstance(action, _REPAIR_ACTIONS):
-            return False
-        if isinstance(action, GossipTick):
-            self.scheduler.on_tick(proc)
-        elif isinstance(action, DigestOffer):
-            self.scheduler.on_offer(proc, action)
-        elif isinstance(action, DigestMatch):
-            self.scheduler.on_match(proc, action)
-        elif isinstance(action, DigestDetail):
-            self.scheduler.on_detail(proc, action)
-        elif isinstance(action, DigestNodes):
-            self.scheduler.on_nodes(proc, action)
-        elif isinstance(action, MirrorPull):
-            self._on_mirror_pull(proc, action)
-        elif isinstance(action, MirrorReturnRequest):
-            self._on_mirror_return(proc, action)
-        elif isinstance(action, RepairPull):
-            self._on_repair_pull(proc, action)
-        elif isinstance(action, HomeResolve):
-            self._on_home_resolve(proc, action)
-        else:
-            self._on_rejoin_advise(proc, action)
-        return True
+    def handle(self, proc: "Processor", action: Any) -> None:
+        """Execute one repair action (a type in :attr:`handlers`)."""
+        self.handlers[type(action)](self, proc, action)
 
     # ------------------------------------------------------------------
     # the executor: resolve a peer's divergent entries
@@ -730,6 +695,21 @@ class RepairService:
         self._request_rejoin(
             proc, node_id, action.level, action.key, action.pc_pid
         )
+
+    #: Action type -> handler ``fn(self, proc, action)``; the engine
+    #: routes these types to :meth:`handle`.
+    handlers = {
+        GossipTick: lambda self, proc, _action: self.scheduler.on_tick(proc),
+        DigestOffer: lambda self, proc, action: self.scheduler.on_offer(proc, action),
+        DigestMatch: lambda self, proc, action: self.scheduler.on_match(proc, action),
+        DigestDetail: lambda self, proc, action: self.scheduler.on_detail(proc, action),
+        DigestNodes: lambda self, proc, action: self.scheduler.on_nodes(proc, action),
+        MirrorPull: _on_mirror_pull,
+        MirrorReturnRequest: _on_mirror_return,
+        RepairPull: _on_repair_pull,
+        HomeResolve: _on_home_resolve,
+        RejoinAdvise: _on_rejoin_advise,
+    }
 
     def _drop_and_rejoin(self, proc: "Processor", copy: "NodeCopy") -> bool:
         """Discard a structurally stale copy and re-join from the PC.

@@ -158,6 +158,19 @@ class TestCrashMechanics:
         assert not cluster.engine._crash_enabled
         assert not cluster.engine._mirror_enabled
 
+    def test_mirrors_without_crash_layer_rejected(self):
+        with pytest.raises(ValueError, match="crash-capable"):
+            DBTreeCluster(num_processors=4, protocol="variable", replication_factor=2)
+
+    def test_mirrors_on_one_processor_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 processors"):
+            DBTreeCluster(
+                num_processors=1,
+                protocol="variable",
+                crash_plan=CrashPlan(schedule=()),
+                replication_factor=2,
+            )
+
 
 # ----------------------------------------------------------------------
 # submit racing a crash

@@ -34,10 +34,11 @@ def repair_cluster(
     schedule=(),
     seed=3,
     num_processors=4,
-    replication_factor=2,
     repair_period=150.0,
     **kwargs,
 ):
+    # Leaf mirrors (replication_factor=2) need the crash layer, so a
+    # crash-free cluster runs with the default factor of 1.
     return DBTreeCluster(
         num_processors=num_processors,
         protocol="variable",
@@ -46,7 +47,7 @@ def repair_cluster(
         crash_plan=CrashPlan(schedule=schedule) if schedule else None,
         op_timeout=3000.0 if schedule else None,
         op_retries=5,
-        replication_factor=replication_factor,
+        replication_factor=2 if schedule else 1,
         repair_period=repair_period,
         **kwargs,
     )

@@ -171,3 +171,8 @@ class TestFaultLayerPassThrough:
         with pytest.raises(ValueError):
             ShardedCluster(shards=2, partitioning="hash",
                            initial_boundaries=(5,))
+
+    def test_mirrors_without_crash_layer_rejected(self):
+        with pytest.raises(ValueError, match="crash-capable"):
+            ShardedCluster(num_processors=4, protocol="variable",
+                           replication_factor=2)
