@@ -34,6 +34,7 @@ from repro.core.replication import ReplicationPolicy
 from repro.sim.crash import CrashPlan
 from repro.sim.detector import DetectorPlan
 from repro.sim.failure import FaultPlan
+from repro.sim.layers import check_layer_conflicts
 from repro.sim.network import LatencyModel, UniformLatency
 from repro.sim.partition import PartitionPlan
 from repro.sim.permute import PermutePlan
@@ -181,17 +182,14 @@ class DBTreeCluster:
         the schedule permuter: seeded swaps of deliveries the
         commutativity registry (:mod:`repro.core.commutativity`)
         claims commute, used by the permutation-replay checker
-        (:mod:`repro.verify.permute`).  Incompatible with
-        ``fault_plan``, ``crash_plan``, ``relay_batch_window``, and
-        enforced reliability; ``None`` (default) keeps the delivery
-        fast path byte-identical.
+        (:mod:`repro.verify.permute`).  ``None`` (default) keeps the
+        delivery fast path byte-identical.
     partition_plan:
         Optional :class:`~repro.sim.partition.PartitionPlan` of
         network partitions: scheduled or stochastic link cuts (full
         splits, asymmetric one-way losses) and gray failures
-        (per-link latency inflation).  Composes with every other
-        fault layer; ``None`` (default) keeps the delivery fast path
-        byte-identical.  Incompatible with ``permute_plan``.
+        (per-link latency inflation).  ``None`` (default) keeps the
+        delivery fast path byte-identical.
     detector_plan:
         Optional :class:`~repro.sim.detector.DetectorPlan` replacing
         the crash layer's global detection oracle with *earned*
@@ -200,6 +198,11 @@ class DBTreeCluster:
         drive the engine.  Implies a crash-capable cluster even
         without a ``crash_plan``.  ``None`` (default) keeps oracle
         detection and the fast path byte-identical.
+
+    Pairs of layers that cannot run together (the schedule permuter
+    with any fault layer, crashes with relay batching) are declared
+    once in :data:`repro.sim.layers.LAYER_CONFLICTS`; construction
+    rejects them with the table's reason.
     """
 
     def __init__(
@@ -240,83 +243,50 @@ class DBTreeCluster:
             self.protocol = protocol
         if replication is None:
             replication = self.protocol.default_policy(num_processors)
-        if crash_plan is not None:
-            if relay_batch_window is not None:
-                raise ValueError(
-                    "crash_plan is incompatible with relay_batch_window: "
-                    "relays parked in the batcher would survive the crash "
-                    "of the processor that owes them"
-                )
-            if detector_plan is None:
-                # Oracle detection's drained-dead-window assumption:
-                # a restart announcement must arrive after every
-                # message the dead window could still deliver.  An
-                # earned detector (detector_plan) retires the oracle
-                # and this assumption with it.
-                if latency_model is None:
-                    if crash_plan.detection_delay <= latency:
-                        raise ValueError(
-                            f"detection_delay ({crash_plan.detection_delay}) "
-                            f"must exceed the message latency ({latency}): "
-                            "the recovery protocol relies on donors having "
-                            "drained the dead window's traffic before a "
-                            "restart is announced"
-                        )
-                    if crash_plan.detection_delay <= latency + latency_jitter:
-                        warnings.warn(
-                            f"detection_delay ({crash_plan.detection_delay}) "
-                            "may be exceeded by a jittered transit (up to "
-                            f"{latency + latency_jitter}); oracle detection "
-                            "assumes the dead window's traffic drains first. "
-                            "Raise detection_delay, or pass detector_plan to "
-                            "retire the oracle",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                else:
+        check_layer_conflicts(
+            fault_plan=fault_plan,
+            relay_batch_window=relay_batch_window,
+            reliability=reliability,
+            crash_plan=crash_plan,
+            permute_plan=permute_plan,
+            partition_plan=partition_plan,
+            detector_plan=detector_plan,
+        )
+        if crash_plan is not None and detector_plan is None:
+            # Oracle detection's drained-dead-window assumption:
+            # a restart announcement must arrive after every
+            # message the dead window could still deliver.  An
+            # earned detector (detector_plan) retires the oracle
+            # and this assumption with it.
+            if latency_model is None:
+                if crash_plan.detection_delay <= latency:
+                    raise ValueError(
+                        f"detection_delay ({crash_plan.detection_delay}) "
+                        f"must exceed the message latency ({latency}): "
+                        "the recovery protocol relies on donors having "
+                        "drained the dead window's traffic before a "
+                        "restart is announced"
+                    )
+                if crash_plan.detection_delay <= latency + latency_jitter:
                     warnings.warn(
-                        "cannot validate detection_delay "
-                        f"({crash_plan.detection_delay}) against a custom "
-                        "latency_model; a transit longer than the oracle "
-                        "delay violates the drained-dead-window assumption. "
-                        "Pass detector_plan to retire the oracle",
+                        f"detection_delay ({crash_plan.detection_delay}) "
+                        "may be exceeded by a jittered transit (up to "
+                        f"{latency + latency_jitter}); oracle detection "
+                        "assumes the dead window's traffic drains first. "
+                        "Raise detection_delay, or pass detector_plan to "
+                        "retire the oracle",
                         RuntimeWarning,
                         stacklevel=2,
                     )
-        if permute_plan is not None:
-            if fault_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with fault_plan: a "
-                    "fault verdict would confound which swaps caused a "
-                    "divergence"
-                )
-            if crash_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with crash_plan: "
-                    "dead-letter verdicts make permuted schedules "
-                    "incomparable"
-                )
-            if reliability != "assumed":
-                raise ValueError(
-                    "permute_plan requires reliability='assumed' (the "
-                    "reliable transport owns ordering in enforced mode)"
-                )
-            if relay_batch_window is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with relay_batch_window: "
-                    "the batcher already reorders relays at the sender"
-                )
-            if partition_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with partition_plan: a "
-                    "blocked link would confound which swaps caused a "
-                    "divergence"
-                )
-            if detector_plan is not None:
-                raise ValueError(
-                    "permute_plan is incompatible with detector_plan: "
-                    "detector_plan implies a crash-capable cluster and "
-                    "permuted schedules are incomparable under crashes"
+            else:
+                warnings.warn(
+                    "cannot validate detection_delay "
+                    f"({crash_plan.detection_delay}) against a custom "
+                    "latency_model; a transit longer than the oracle "
+                    "delay violates the drained-dead-window assumption. "
+                    "Pass detector_plan to retire the oracle",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
         repair_plan = None
         if repair_period is not None:

@@ -149,7 +149,7 @@ class NetworkStats:
     dup_suppressed: int = 0
     resequenced: int = 0
     #: messages/frames that arrived at a crashed processor and were
-    #: discarded (or bounced) by the dead-peer policy.
+    #: discarded.
     dead_letters: int = 0
     #: messages/frames silently swallowed by an active partition cut
     #: (:mod:`repro.sim.partition`); indistinguishable from loss at
@@ -198,6 +198,11 @@ def message_kind(payload: Any) -> str:
     return type(payload).__name__
 
 
+#: The single verdict a transmission gets when no fault plan judges it:
+#: delivered once, with no extra delay.
+_CLEAN = ((False, 0.0),)
+
+
 class Network:
     """Reliable, exactly-once, per-channel FIFO message transport.
 
@@ -206,6 +211,13 @@ class Network:
     may drop, duplicate, or reorder messages -- used *only* by the
     ablation experiment that demonstrates the protocols rely on the
     reliability assumption.
+
+    Every transmission -- a logical message in ``"assumed"`` mode, a
+    reliable-layer frame, a heartbeat datagram -- crosses the
+    substrate through :meth:`_transmit`, the one place its fate is
+    decided.  Which pairs of layers may be installed together is
+    declared in :data:`repro.sim.layers.LAYER_CONFLICTS` and checked
+    by the kernel at construction.
     """
 
     def __init__(
@@ -252,93 +264,52 @@ class Network:
             else None
         )
         # Constant transit time, when the latency model admits one;
-        # lets the no-fault fast path skip the strategy call entirely.
+        # lets _transmit skip the strategy call entirely.
         self._fixed_latency: float | None = getattr(
             self._latency_model, "fixed_latency", None
         )
         # Last *scheduled* delivery time per channel; FIFO enforcement.
         self._channel_clock: dict[tuple[int, int], float] = {}
-        # Crash-stop support: a liveness oracle (installed only when a
-        # crash plan is active, so the default path never pays for it)
-        # plus the dead-peer policy and optional bounce callback.
+        # Crash-stop liveness oracle, installed only when a crash plan
+        # is active, so the default path never pays for it.
         self._liveness: Callable[[int], bool] | None = None
-        self._dead_policy = "drop"
-        self._bounce: Callable[[int, int, Any], None] | None = None
-        # Schedule permuter (repro.sim.permute), installed only by the
-        # permutation-replay checker; None keeps the fast path intact.
-        self._permuter = None
         # Partition controller (repro.sim.partition), installed only
-        # when a partition plan is active; None keeps the fast path
-        # byte-identical.
+        # when a partition plan is active.
         self._partition = None
+        # Arrival of a logical message in assumed mode, chosen once:
+        # plain delivery, liveness-checked delivery (crash plan), or
+        # the schedule permuter's hold/swap gate.
+        self._arrive: Callable[[int, Any], None] = self._fire
         self.stats = NetworkStats()
 
     def install_delivery(self, deliver: Callable[[int, Any], None]) -> None:
         """Install the callback invoked on message arrival."""
         self._deliver = deliver
 
-    def install_liveness(
-        self,
-        liveness: Callable[[int], bool],
-        dead_peer_policy: str = "drop",
-        bounce: Callable[[int, int, Any], None] | None = None,
-    ) -> None:
+    def install_liveness(self, liveness: Callable[[int], bool]) -> None:
         """Teach the network which destinations are alive.
 
-        Arrivals at a dead processor become dead letters: discarded
-        under the ``"drop"`` policy, or handed to ``bounce(src, dst,
-        payload)`` under ``"bounce"`` (logical messages only; physical
-        frames are always discarded -- retransmission and suspicion
-        are the reliable layer's problem).
+        Arrivals at a dead processor become dead letters: counted and
+        discarded (retransmission and suspicion of lost frames are the
+        reliable layer's problem).
         """
-        if self._permuter is not None:
-            raise ValueError(
-                "crash liveness and the schedule permuter are mutually "
-                "exclusive: dead-letter verdicts would make permuted "
-                "schedules incomparable"
-            )
         self._liveness = liveness
-        self._dead_policy = dead_peer_policy
-        self._bounce = bounce
+        self._arrive = self._fire_checked
 
     def install_permuter(self, permuter: Any) -> None:
-        """Route deliveries through a schedule permuter.
-
-        Only legal on the paper's reliable network: fault plans,
-        enforced reliability, crash liveness, and partitions each
-        already change delivery order or fate, which would confound
-        the permuter's claim that any state divergence is caused by
-        its swaps.
-        """
-        if self.transport is not None:
-            raise ValueError(
-                "schedule permuter requires reliability='assumed' "
-                "(the reliable transport owns ordering in enforced mode)"
-            )
-        if self._fault_plan is not None:
-            raise ValueError("schedule permuter is incompatible with a fault plan")
-        if self._liveness is not None:
-            raise ValueError("schedule permuter is incompatible with a crash plan")
-        if self._partition is not None:
-            raise ValueError(
-                "schedule permuter is incompatible with a partition plan"
-            )
-        self._permuter = permuter
+        """Route logical arrivals through a schedule permuter."""
+        self._arrive = permuter.on_arrival
         permuter.install_deliver(self._fire)
 
     def install_partition(self, controller: Any) -> None:
         """Route every transmission past a partition controller.
 
         The controller's ``judge(src, dst)`` is consulted per logical
-        message (assumed mode) or per physical frame (enforced mode,
-        so retransmissions into a cut are swallowed afresh, exactly
-        like real packets): a cut link drops the transmission
-        silently, a gray link multiplies its transit time.
+        message (assumed mode), per physical frame (enforced mode, so
+        retransmissions into a cut are swallowed afresh, exactly like
+        real packets) and per datagram: a cut link drops the
+        transmission silently, a gray link multiplies its transit time.
         """
-        if self._permuter is not None:
-            raise ValueError(
-                "partition plan is incompatible with the schedule permuter"
-            )
         self._partition = controller
 
     def reset_stats(self) -> None:
@@ -370,103 +341,79 @@ class Network:
 
         if self.transport is not None:
             # Enforced mode: the reliable layer frames the payload and
-            # owns ordering/dedup; the substrate (fault plan + latency
-            # + partition) is applied per physical frame in
-            # _transmit_frame.
+            # owns ordering/dedup; each physical frame crosses the
+            # substrate in _transmit_frame.
             self.transport.send(src, dst, payload)
             return
+        self._transmit(src, dst, payload, partial(self._arrive, dst, payload), True)
 
-        latency_factor = 1.0
+    def _transmit(
+        self,
+        src: int,
+        dst: int,
+        payload: Any,
+        arrive: Callable[[], None],
+        clamp: bool,
+        faults: bool = True,
+    ) -> None:
+        """Put one transmission on the substrate; schedule ``arrive``
+        once per copy that survives.
+
+        The verdicts apply in a fixed order, which fixes the order of
+        random draws: the partition controller (a cut swallows the
+        transmission, a gray link yields a latency factor), then the
+        fault plan (skipped when ``faults`` is false), then one latency
+        draw per surviving copy.  ``clamp`` holds a copy with no extra
+        delay behind the channel's last scheduled arrival -- the
+        paper's FIFO channel; a reorder verdict bypasses it, which is
+        the point of the fault injection.
+        """
+        factor = 1.0
         if self._partition is not None:
-            up, latency_factor = self._partition.judge(src, dst)
+            up, factor = self._partition.judge(src, dst)
             if not up:
                 if self._count_totals:
                     self.stats.partition_blocked += 1
                 return
-
-        if self._fault_plan is None:
-            # No-fault fast path: the paper's reliable exactly-once
-            # FIFO network, with no verdict machinery.
-            transit = self._fixed_latency
-            if transit is None:
-                transit = self._latency_model.latency(src, dst, self._rng)
-            if latency_factor != 1.0:
-                transit *= latency_factor
-            events = self._events
-            arrival = events.now + transit
-            channel = (src, dst)
-            clock = self._channel_clock
-            floor = clock.get(channel)
-            if floor is not None and floor > arrival:
-                arrival = floor
-            clock[channel] = arrival
-            if self._liveness is None:
-                permuter = self._permuter
-                if permuter is None:
-                    events.push(arrival, partial(self._fire, dst, payload))
-                else:
-                    events.push(arrival, partial(permuter.on_arrival, dst, payload))
-            else:
-                events.push(arrival, partial(self._fire_checked, src, dst, payload))
-            return
-
-        verdicts = self._fault_plan.judge(src, dst, payload, self._rng)
-        count_totals = self._count_totals
+        plan = self._fault_plan
+        if plan is None or not faults:
+            verdicts = _CLEAN
+        else:
+            verdicts = plan.judge(src, dst, payload, self._rng)
+            if self._count_totals and len(verdicts) > 1:
+                self.stats.duplicated += len(verdicts) - 1
+        events = self._events
         for dropped, extra_delay in verdicts:
             if dropped:
-                if count_totals:
+                if self._count_totals:
                     self.stats.dropped += 1
                 continue
-            if extra_delay > 0:
-                # A reorder/duplicate verdict bypasses the FIFO clamp;
-                # that is the point of the fault injection.
-                transit = (
-                    self._latency_model.latency(src, dst, self._rng)
-                    * latency_factor
-                    + extra_delay
-                )
-                arrival = self._events.now + transit
-            else:
-                transit = (
-                    self._latency_model.latency(src, dst, self._rng)
-                    * latency_factor
-                )
-                arrival = self._events.now + transit
+            latency = self._fixed_latency
+            if latency is None:
+                latency = self._latency_model.latency(src, dst, self._rng)
+            arrival = events.now + (latency * factor + extra_delay)
+            if clamp and not extra_delay:
                 channel = (src, dst)
-                floor = self._channel_clock.get(channel)
+                clock = self._channel_clock
+                floor = clock.get(channel)
                 if floor is not None and floor > arrival:
                     arrival = floor
-                self._channel_clock[channel] = arrival
-            self._schedule_delivery(arrival, src, dst, payload)
-        if count_totals and len(verdicts) > 1:
-            self.stats.duplicated += len(verdicts) - 1
+                clock[channel] = arrival
+            events.push(arrival, arrive)
 
     def _fire(self, dst: int, payload: Any) -> None:
+        """Hand an in-order payload to the destination processor."""
         if self._count_totals:
             self.stats.delivered += 1
         self._deliver(dst, payload)  # type: ignore[misc]
 
-    def _fire_checked(self, src: int, dst: int, payload: Any) -> None:
+    def _fire_checked(self, dst: int, payload: Any) -> None:
         """Liveness-aware delivery, used only when crashes are possible."""
         if not self._liveness(dst):  # type: ignore[misc]
             if self._count_totals:
                 self.stats.dead_letters += 1
-            if self._dead_policy == "bounce" and self._bounce is not None:
-                self._bounce(src, dst, payload)
             return
-        if self._count_totals:
-            self.stats.delivered += 1
-        self._deliver(dst, payload)  # type: ignore[misc]
-
-    def _schedule_delivery(
-        self, arrival: float, src: int, dst: int, payload: Any
-    ) -> None:
-        if self._liveness is None:
-            self._events.push(arrival, partial(self._fire, dst, payload))
-        else:
-            self._events.push(
-                arrival, partial(self._fire_checked, src, dst, payload)
-            )
+        self._fire(dst, payload)
 
     # ------------------------------------------------------------------
     # datagrams (failure-detector heartbeats)
@@ -493,21 +440,13 @@ class Network:
         service time and survives queue saturation, like a kernel
         timestamping a packet before the application gets scheduled.
         """
-        latency_factor = 1.0
-        if self._partition is not None:
-            up, latency_factor = self._partition.judge(src, dst)
-            if not up:
-                if self._count_totals:
-                    self.stats.partition_blocked += 1
-                return
-        transit = self._fixed_latency
-        if transit is None:
-            transit = self._latency_model.latency(src, dst, self._rng)
-        if latency_factor != 1.0:
-            transit *= latency_factor
-        self._events.push(
-            self._events.now + transit,
+        self._transmit(
+            src,
+            dst,
+            payload,
             partial(self._datagram_arrival, dst, payload, deliver),
+            False,
+            faults=False,
         )
 
     def _datagram_arrival(
@@ -523,50 +462,16 @@ class Network:
     def _transmit_frame(self, src: int, dst: int, frame: Any) -> None:
         """Put one physical frame on the lossy substrate.
 
-        Applies the fault plan per transmission (retransmissions are
-        judged afresh, like real packets) and the latency model, but
+        Partition, fault plan and latency apply per transmission
+        (retransmissions are judged afresh, like real packets), but
         *not* the FIFO channel clamp: ordering is the reliable
         layer's job, via sequence numbers and resequencing, so frames
         race each other freely -- which is exactly what makes the
         enforcement end-to-end rather than cosmetic.
         """
-        events = self._events
-        latency_factor = 1.0
-        if self._partition is not None:
-            # Judged per physical frame: retransmissions into a cut
-            # keep vanishing, and the sender's retry/suspicion logic
-            # reacts exactly as it would to sustained loss.
-            up, latency_factor = self._partition.judge(src, dst)
-            if not up:
-                if self._count_totals:
-                    self.stats.partition_blocked += 1
-                return
-        if self._fault_plan is None:
-            transit = self._fixed_latency
-            if transit is None:
-                transit = self._latency_model.latency(src, dst, self._rng)
-            if latency_factor != 1.0:
-                transit *= latency_factor
-            events.push(
-                events.now + transit, partial(self._frame_arrival, src, dst, frame)
-            )
-            return
-        verdicts = self._fault_plan.judge(src, dst, frame, self._rng)
-        count_totals = self._count_totals
-        for dropped, extra_delay in verdicts:
-            if dropped:
-                if count_totals:
-                    self.stats.dropped += 1
-                continue
-            transit = (
-                self._latency_model.latency(src, dst, self._rng) * latency_factor
-                + extra_delay
-            )
-            events.push(
-                events.now + transit, partial(self._frame_arrival, src, dst, frame)
-            )
-        if count_totals and len(verdicts) > 1:
-            self.stats.duplicated += len(verdicts) - 1
+        self._transmit(
+            src, dst, frame, partial(self._frame_arrival, src, dst, frame), False
+        )
 
     def _frame_arrival(self, src: int, dst: int, frame: Any) -> None:
         if self._liveness is not None and not self._liveness(dst):
@@ -577,12 +482,6 @@ class Network:
                 self.stats.dead_letters += 1
             return
         self.transport.on_frame(src, dst, frame)  # type: ignore[union-attr]
-
-    def _deliver_logical(self, dst: int, payload: Any) -> None:
-        """Hand an in-order, deduplicated payload to the processor."""
-        if self._count_totals:
-            self.stats.delivered += 1
-        self._deliver(dst, payload)  # type: ignore[misc]
 
 
 class FaultPlanLike(Protocol):

@@ -16,6 +16,7 @@ from repro.sim.crash import CrashController, CrashPlan
 from repro.sim.detector import DetectorPlan, FailureDetectorService
 from repro.sim.events import EventQueue
 from repro.sim.failure import FaultPlan
+from repro.sim.layers import check_layer_conflicts
 from repro.sim.network import LatencyModel, Network, UniformLatency
 from repro.sim.partition import PartitionController, PartitionPlan
 from repro.sim.permute import PermutePlan, SchedulePermuter
@@ -71,15 +72,13 @@ class Kernel:
         the schedule permuter on the network delivery path: seeded
         swaps of deliveries the commutativity registry claims
         commute, for the permutation-replay checker
-        (:mod:`repro.verify.permute`).  Incompatible with fault
-        plans, crash plans, and enforced reliability.  ``None``
-        (default) keeps the fast path byte-identical.
+        (:mod:`repro.verify.permute`).  ``None`` (default) keeps the
+        fast path byte-identical.
     partition_plan:
         Optional :class:`~repro.sim.partition.PartitionPlan` of link
         cuts (full splits, one-way outages) and gray failures
-        (latency inflation).  Composable with fault, crash, and
-        repair layers; incompatible with the permuter.  ``None``
-        (default) keeps the fast path byte-identical.
+        (latency inflation).  ``None`` (default) keeps the fast path
+        byte-identical.
     detector_plan:
         Optional :class:`~repro.sim.detector.DetectorPlan`.  Installs
         per-processor heartbeats and a local failure detector
@@ -88,6 +87,10 @@ class Kernel:
         suspicion becomes a per-observer, fallible opinion.  Implies
         a (possibly inert) crash controller.  ``None`` (default)
         keeps the oracle semantics.
+
+    Pairs of these layers that cannot run together are declared in
+    :data:`repro.sim.layers.LAYER_CONFLICTS` and rejected here with
+    the table's reason.
     """
 
     #: Default guard on run length; large enough for every experiment
@@ -111,6 +114,14 @@ class Kernel:
     ) -> None:
         if num_processors < 1:
             raise ValueError("need at least one processor")
+        check_layer_conflicts(
+            fault_plan=fault_plan,
+            reliability=reliability,
+            crash_plan=crash_plan,
+            permute_plan=permute_plan,
+            partition_plan=partition_plan,
+            detector_plan=detector_plan,
+        )
         if detector_plan is not None and crash_plan is None:
             # The detector drives suspicion *through* the crash
             # controller's machinery (liveness oracle for ground
@@ -172,10 +183,7 @@ class Kernel:
                 self, crash_plan, random.Random(self.seeds.register("crash", seed + 2))
             )
             self.crash_controller = controller
-            self.network.install_liveness(
-                controller.is_alive,
-                dead_peer_policy=crash_plan.dead_peer_policy,
-            )
+            self.network.install_liveness(controller.is_alive)
             transport = self.network.transport
             if transport is not None:
                 transport.install_peer_down(self._on_peer_down)

@@ -1,7 +1,10 @@
 """Mobile single-copy nodes: migration, forwarding, version ordering."""
 
+import pytest
+
 from tests.helpers import assert_clean, run_insert_workload
 from repro import DBTreeCluster
+from repro.sim.simulator import QuiescenceError
 
 
 def mobile_cluster(seed=3, procs=4, capacity=4):
@@ -139,3 +142,41 @@ class TestForwardingGC:
         for k in list(expected)[:40]:
             assert cluster.search_sync(k, client=3) == expected[k]
         assert_clean(cluster, expected=expected)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=QuiescenceError,
+        reason=(
+            "recovery livelock: after C5's scatter, migrations and a full "
+            "forwarding GC, a search from processor 2 alternates "
+            "missing-node recovery with leftward forwarding and never "
+            "quiesces"
+        ),
+    )
+    def test_search_after_c5_gc_quiesces(self):
+        # Experiment C5's lazy arm on 4 processors, cut down to the one
+        # search that never finishes.
+        cluster = mobile_cluster(seed=3)
+        expected = run_insert_workload(
+            cluster, count=200, key_fn=lambda i: (i * 7) % 3201
+        )
+        leaves = sorted(
+            (c for c in cluster.engine.all_copies() if c.is_leaf),
+            key=lambda c: c.node_id,
+        )
+        for index, leaf in enumerate(leaves):
+            cluster.migrate_node(leaf.node_id, leaf.home_pid, index % 4)
+        cluster.run()
+        leaves = sorted(
+            (c for c in cluster.engine.all_copies() if c.is_leaf),
+            key=lambda c: c.node_id,
+        )[:12]
+        for index, leaf in enumerate(leaves):
+            cluster.migrate_node(
+                leaf.node_id, leaf.home_pid, (leaf.home_pid + index + 1) % 4
+            )
+        cluster.run()
+        cluster.engine.gc_forwarding(older_than=float("inf"))
+        op = cluster.search(350, client=2)
+        results = cluster.run(max_events=200_000)
+        assert results.result_of(op) == expected[350]

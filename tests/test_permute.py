@@ -189,27 +189,16 @@ class TestPermuterMechanics:
 
 class TestInstallGuards:
     def test_permuter_rejected_with_fault_plan(self):
-        events = EventQueue()
-        net = Network(events, fault_plan=FaultPlan(drop_p=0.5))
-        with pytest.raises(ValueError):
-            net.install_permuter(
-                SchedulePermuter(PermutePlan(), events)
-            )
+        with pytest.raises(ValueError, match="permute_plan.*fault_plan"):
+            Kernel(2, fault_plan=FaultPlan(drop_p=0.5), permute_plan=PermutePlan())
 
     def test_permuter_rejected_with_enforced_reliability(self):
-        events = EventQueue()
-        net = Network(events, reliability="enforced")
-        with pytest.raises(ValueError):
-            net.install_permuter(
-                SchedulePermuter(PermutePlan(), events)
-            )
+        with pytest.raises(ValueError, match="permute_plan.*reliability"):
+            Kernel(2, reliability="enforced", permute_plan=PermutePlan())
 
     def test_permuter_and_liveness_mutually_exclusive(self):
-        events = EventQueue()
-        net = Network(events)
-        net.install_permuter(SchedulePermuter(PermutePlan(), events))
-        with pytest.raises(ValueError):
-            net.install_liveness(lambda pid: True)
+        with pytest.raises(ValueError, match="permute_plan.*crash_plan"):
+            Kernel(2, crash_plan=CrashPlan(), permute_plan=PermutePlan())
 
     def test_cluster_rejects_conflicting_layers(self):
         plan = PermutePlan()
