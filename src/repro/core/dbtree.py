@@ -889,6 +889,7 @@ class DBTreeEngine:
             return
         if action.slot == "right":
             copy.right_id = action.target_id
+            copy.mut += 1
         elif action.slot == "left":
             copy.left_id = action.target_id
         elif action.slot == "parent":
@@ -1398,6 +1399,9 @@ class DBTreeEngine:
         old = self.mirror_placement
         new = make_placement(name)
         self.mirror_placement = new
+        if self.repair is not None:
+            # The repair views' L rows were classified by the old policy.
+            self.repair.index.reset()
         if not self._mirror_enabled or new.name == old.name:
             return
         pids = self.kernel.pids
@@ -1505,6 +1509,7 @@ class DBTreeEngine:
             copy.version += 1
             copy.pc_pid = proc.pid
             copy.copy_versions = {proc.pid: copy.version}
+            copy.mut += 1
             self._install_direct(proc, copy, snap.birth_set, "rehome")
             self._announce_rehome(proc, copy)
             self.trace.bump("leaves_rehomed")

@@ -123,9 +123,12 @@ class NodeCopy:
         # zombie forwarder -- empty range, kept only so in-flight
         # actions can follow its links; GC-able at any time.
         self.retired: bool = False
-        # Entry-mutation counter: bumped by every insert / delete /
-        # extraction so digest caches can revalidate in O(1) instead
-        # of re-hashing the entries (repro.repair.digest).
+        # Change stamp for everything a repair digest reads: bumped by
+        # every write to the entries, range, right link, membership
+        # (copy_versions) or ``retired`` -- here, and at the few
+        # protocol and engine sites that assign those fields directly
+        # -- so the repair tables re-hash only copies whose stamp
+        # moved (repro.repair.digest).
         self.mut: int = 0
 
     @property

@@ -65,6 +65,7 @@ class MigrationMixin:
         new_version = copy.version
         copy.pc_pid = to_pid
         copy.copy_versions = {to_pid: new_version}
+        copy.mut += 1
         snapshot = engine.make_snapshot(proc, copy)
         engine.kernel.route(proc.pid, to_pid, CreateCopy(snapshot, "migrate"))
 

@@ -152,6 +152,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         right_entry = proc.state["locator"].get(right_id) if right_id else None
         copy.range = KeyRange(old_high, old_high)
         copy.retired = True
+        copy.mut += 1
         copy.proto["retired_at"] = engine.now
         engine.trace.bump("leaves_retired")
         engine.mirror_leaf_drop(proc, copy.node_id)
@@ -214,6 +215,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         if copy.range.high == action.old_low:
             copy.range = KeyRange(copy.range.low, action.old_high)
             copy.right_id = action.right_id
+            copy.mut += 1
             action_id = engine.trace.new_action_id()
             copy.incorporated_ids.add(action_id)
             engine.trace.record_initial(
@@ -307,6 +309,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
         copy.version += 1
         join_version = copy.version
         copy.copy_versions[requester_pid] = join_version
+        copy.mut += 1
         action_id = engine.trace.new_action_id()
         copy.incorporated_ids.add(action_id)
         engine.trace.record_initial(
@@ -349,6 +352,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             engine.trace.bump("duplicate_relay_ignored")
             return
         copy.copy_versions[action.new_pid] = action.join_version
+        copy.mut += 1
         copy.version = max(copy.version, action.join_version)
         copy.incorporated_ids.add(action.action_id)
         engine.trace.record_relayed(
@@ -427,6 +431,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             return
         copy.version += 1
         del copy.copy_versions[leaver_pid]
+        copy.mut += 1
         action_id = engine.trace.new_action_id()
         copy.incorporated_ids.add(action_id)
         engine.trace.record_initial(
@@ -462,6 +467,7 @@ class VariableCopiesProtocol(MigrationMixin, SemiSyncProtocol):
             engine.trace.bump("duplicate_relay_ignored")
             return
         copy.copy_versions.pop(action.leaver_pid, None)
+        copy.mut += 1
         copy.version = max(copy.version, action.new_version)
         copy.incorporated_ids.add(action.action_id)
         engine.trace.record_relayed(

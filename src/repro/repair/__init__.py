@@ -10,7 +10,7 @@ coordination-free way: periodic digest gossip detects divergence, and
 a repair executor resolves it using the paper's own update machinery.
 
 ==================  ==================================================
-``digest``          Merkle-style range digests, O(changed) maintenance
+``digest``          node digests; per-peer shared views, O(changed)
 ``gossip``          periodic peer digest exchange with drill-down
 ``repair``          mismatch resolution via relayed actions / rejoin
 ``placement``       ring vs rendezvous-hash mirror placement
@@ -19,7 +19,7 @@ a repair executor resolves it using the paper's own update machinery.
 
 from repro.repair.digest import (
     DigestIndex,
-    combine,
+    SharedView,
     copy_digest,
     snapshot_digest,
 )
@@ -36,7 +36,7 @@ from repro.repair.repair import RepairService
 
 __all__ = [
     "DigestIndex",
-    "combine",
+    "SharedView",
     "copy_digest",
     "snapshot_digest",
     "RepairPlan",

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
-from repro.repair.digest import DIGEST_BYTES, combine
+from repro.repair.digest import DIGEST_BYTES
 
 if TYPE_CHECKING:
     from repro.repair.repair import RepairService
@@ -90,8 +90,8 @@ class RepairPlan:
 
 
 # ----------------------------------------------------------------------
-# gossip actions (handled via the engine's extra-handler fallthrough,
-# so the repair-off dispatch path gains no branches)
+# gossip actions (registered in the engine's dispatch table, so the
+# repair-off dispatch path gains no branches)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GossipTick:
@@ -287,18 +287,18 @@ class GossipScheduler:
 
     def begin_round(self, proc: "Processor", peer: int) -> None:
         service = self.service
-        entries = service.shared_entries(proc, peer)
+        view = service.shared_entries(proc, peer)
         self._round_counter += 1
         round_id = self._round_counter
         self._open[round_id] = (proc.pid, peer, service.engine.now)
-        top = combine(
-            (nid, _CMP[row[0]], row[1]) for nid, row in entries.items()
-        )
         service.engine.kernel.route(
             proc.pid,
             peer,
             DigestOffer(
-                src_pid=proc.pid, round_id=round_id, count=len(entries), top=top
+                src_pid=proc.pid,
+                round_id=round_id,
+                count=len(view.rows),
+                top=view.top,
             ),
         )
         service.count("rounds_started")
@@ -319,27 +319,17 @@ class GossipScheduler:
             del self._open[round_id]
             self.service.count("rounds_aborted")
 
-    def _bucket_hashes(self, entries: dict[int, tuple]) -> tuple[int, ...]:
-        plan = self.plan
-        rows: list[list[tuple]] = [[] for _ in range(plan.buckets)]
-        for nid, row in entries.items():
-            rows[nid % plan.buckets].append((nid, _CMP[row[0]], row[1]))
-        return tuple(combine(bucket) for bucket in rows)
-
     def on_offer(self, proc: "Processor", action: DigestOffer) -> None:
         service = self.service
-        entries = service.shared_entries(proc, action.src_pid)
-        top = combine(
-            (nid, _CMP[row[0]], row[1]) for nid, row in entries.items()
-        )
-        if top == action.top and len(entries) == action.count:
+        view = service.shared_entries(proc, action.src_pid)
+        if view.top == action.top and len(view.rows) == action.count:
             reply: Any = DigestMatch(src_pid=proc.pid, round_id=action.round_id)
         else:
             self.mark_dirty()
             reply = DigestDetail(
                 src_pid=proc.pid,
                 round_id=action.round_id,
-                buckets=self._bucket_hashes(entries),
+                buckets=tuple(view.buckets),
             )
             service.count("digests_sent", self.plan.buckets)
             service.count_bytes(DIGEST_BYTES * self.plan.buckets)
@@ -358,18 +348,19 @@ class GossipScheduler:
             return
         self.mark_dirty()
         service.count("rounds_diverged")
-        entries = service.shared_entries(proc, action.src_pid)
-        mine = self._bucket_hashes(entries)
+        view = service.shared_entries(proc, action.src_pid)
+        mine = view.buckets
         mismatched = tuple(
             index
             for index in range(self.plan.buckets)
             if index >= len(action.buckets) or mine[index] != action.buckets[index]
         )
-        payload = tuple(
-            (nid, row[0], row[1], row[2], row[3])
-            for nid, row in sorted(entries.items())
-            if nid % self.plan.buckets in mismatched
-        )
+        rows = view.rows.items()
+        if len(mismatched) < self.plan.buckets:
+            wanted = set(mismatched)
+            count = self.plan.buckets
+            rows = [item for item in rows if item[0] % count in wanted]
+        payload = tuple((nid, *row) for nid, row in sorted(rows))
         service.engine.kernel.route(
             proc.pid,
             action.src_pid,
@@ -387,8 +378,3 @@ class GossipScheduler:
         # The drill-down terminus: hand each mismatch to the executor.
         self.service.execute_repairs(proc, action)
 
-
-#: Comparison kind by role: a home's leaf entry ("L") and the holder's
-#: mirror entry ("M") describe the same replicated state, so they
-#: must hash into the same comparison class.
-_CMP = {"C": "C", "L": "M", "M": "M"}

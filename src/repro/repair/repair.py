@@ -45,7 +45,7 @@ from repro.core.actions import (
     Mode,
     UnjoinRequest,
 )
-from repro.repair.digest import DigestIndex
+from repro.repair.digest import DigestIndex, SharedView
 from repro.repair.gossip import (
     DigestDetail,
     DigestMatch,
@@ -150,7 +150,10 @@ class RepairService:
     def __init__(self, engine: "DBTreeEngine", plan: RepairPlan) -> None:
         self.engine = engine
         self.plan = plan
-        self.index = DigestIndex()
+        self.index = DigestIndex(
+            plan.buckets,
+            engine._mirror_targets if engine._mirror_enabled else None,
+        )
         self.counters: dict[str, int] = {}
         self.digest_bytes = 0
         self.scheduler = GossipScheduler(
@@ -221,54 +224,21 @@ class RepairService:
     # ------------------------------------------------------------------
     # shared view: what this processor replicates in common with a peer
     # ------------------------------------------------------------------
-    def shared_entries(
-        self, proc: "Processor", peer: int
-    ) -> dict[int, tuple[str, int, int, Any]]:
-        """node_id -> (role, digest, level, low) for the pair scope.
+    def shared_entries(self, proc: "Processor", peer: int) -> SharedView:
+        """What ``proc`` replicates in common with ``peer``.
 
-        Roles: ``"C"`` a replicated copy listing the peer as member,
-        ``"L"`` an own single-copy leaf whose mirror targets include
-        the peer, ``"M"`` a held mirror whose home is the peer.
+        The returned view's rows map node_id -> ``(role, digest,
+        level, low)``.  Roles: ``"C"`` a replicated copy listing the
+        peer as member, ``"L"`` an own single-copy leaf whose mirror
+        targets include the peer, ``"M"`` a held mirror whose home is
+        the peer (overriding a C or L row for the same node).  The
+        view is maintained, not rebuilt: only copies whose stamp moved
+        since the last call are re-classified and re-hashed.
         """
-        engine = self.engine
-        index = self.index
-        pid = proc.pid
-        mirror_enabled = engine._mirror_enabled
-        entries: dict[int, tuple[str, int, int, Any]] = {}
-        for copy in proc.state["store"].values():
-            if copy.retired:
-                continue
-            members = copy.copy_versions
-            if peer in members and len(members) > 1:
-                entries[copy.node_id] = (
-                    "C",
-                    index.node_digest(pid, copy),
-                    copy.level,
-                    copy.range.low,
-                )
-            elif (
-                mirror_enabled
-                and copy.is_leaf
-                and len(members) == 1
-                and peer in engine._mirror_targets(pid, copy.node_id)
-            ):
-                entries[copy.node_id] = (
-                    "L",
-                    index.node_digest(pid, copy),
-                    0,
-                    copy.range.low,
-                )
-        mirrors = proc.state.get("mirror_store")
-        if mirrors:
-            for node_id, (home, snap) in mirrors.items():
-                if home == peer:
-                    entries[node_id] = (
-                        "M",
-                        index.mirror_digest(pid, node_id, snap),
-                        snap.level,
-                        snap.low,
-                    )
-        return entries
+        state = proc.state
+        return self.index.view(
+            proc.pid, peer, state["store"], state.get("mirror_store")
+        )
 
     # ------------------------------------------------------------------
     # dispatch
@@ -282,8 +252,16 @@ class RepairService:
     # ------------------------------------------------------------------
     def execute_repairs(self, proc: "Processor", action: DigestNodes) -> None:
         peer = action.src_pid
-        mine = self.shared_entries(proc, peer)
+        view = self.shared_entries(proc, peer)
+        mine = view.rows
         remote = {row[0]: row[1:] for row in action.entries}
+        buckets = set(action.buckets)
+        count = self.plan.buckets
+        local_only = {
+            node_id: row[0]
+            for node_id, row in mine.items()
+            if node_id % count in buckets and node_id not in remote
+        }
         repaired = False
         for node_id, (role, digest, level, low) in remote.items():
             local = mine.get(node_id)
@@ -292,13 +270,35 @@ class RepairService:
             repaired |= self._repair_remote(
                 proc, peer, node_id, role, level, low
             )
-        buckets = set(action.buckets)
-        for node_id, (role, _digest, _level, _low) in mine.items():
-            if node_id % self.plan.buckets not in buckets or node_id in remote:
-                continue
-            repaired |= self._repair_local_only(proc, peer, node_id, role)
+        for node_id in self._store_order(proc, view, local_only):
+            repaired |= self._repair_local_only(
+                proc, peer, node_id, local_only[node_id]
+            )
         if repaired:
             self.scheduler.mark_dirty()
+
+    @staticmethod
+    def _store_order(
+        proc: "Processor", view: SharedView, roles: dict[int, str]
+    ) -> list[int]:
+        """Node ids of ``roles`` (view rows by role) in the order a
+        from-scratch walk meets them: node-store order for rows from
+        stored copies (an M row hiding one keeps its place), then
+        mirror-store order for rows only a mirror gives."""
+        if len(roles) < 2:
+            return list(roles)
+        hidden = view.hidden
+        ordered = [
+            node_id
+            for node_id in proc.state["store"]
+            if node_id in roles and (roles[node_id] != "M" or node_id in hidden)
+        ]
+        ordered += [
+            node_id
+            for node_id in proc.state.get("mirror_store") or ()
+            if roles.get(node_id) == "M" and node_id not in hidden
+        ]
+        return ordered
 
     def _repair_remote(
         self,
@@ -634,6 +634,7 @@ class RepairService:
             # mirror, and parent link now resolves to us on version.
             copy.version = max(copy.version, action.version) + 1
             copy.copy_versions = {proc.pid: copy.version}
+            copy.mut += 1
             engine._announce_rehome(proc, copy)
             engine.mirror_leaf(proc, copy)
             self.count("home_resolves_won")

@@ -491,12 +491,12 @@ class ShardedCluster:
 
         When anti-entropy repair is running, the count comes from the
         repair layer's :class:`~repro.repair.digest.DigestIndex`
-        (digest-driven rebalancing): the balancer revalidates each
-        live leaf through the cache -- O(changed) tuple comparisons,
-        re-hashing only mutated leaves, exactly the gossip rounds'
-        own discipline -- and sums the cached per-leaf entry counts.
-        Without repair it falls back to a direct leaf sweep.  Both
-        agree at quiescence.
+        (digest-driven rebalancing): the balancer refreshes each live
+        leaf's row in its home processor's table -- an O(1) stamp
+        check unless the leaf changed since the gossip rounds last saw
+        it -- and sums the tables' per-leaf entry counts.  Without
+        repair it falls back to a direct leaf sweep.  Both agree at
+        quiescence.
         """
         cluster = self.clusters[shard_id]
         repair = cluster.engine.repair
@@ -505,7 +505,7 @@ class ShardedCluster:
             live: set[int] = set()
             for copy in representative_nodes(cluster.engine).values():
                 if copy.is_leaf:
-                    index.node_digest(copy.home_pid, copy)
+                    index.refresh(copy.home_pid, copy)
                     live.add(copy.node_id)
             cached = index.leaf_entry_estimate(live_ids=live)
             if cached is not None:

@@ -16,12 +16,14 @@ import dataclasses
 import pytest
 
 from repro import CrashPlan, DBTreeCluster, RepairPlan
+from repro.core.keys import NEG_INF, POS_INF, KeyRange
+from repro.core.node import NodeCopy
 from repro.repair import (
     PLACEMENTS,
+    DigestIndex,
     RendezvousPlacement,
     RingPlacement,
     copy_digest,
-    combine,
     make_placement,
     rendezvous_weight,
     snapshot_digest,
@@ -51,6 +53,21 @@ def repair_cluster(
         repair_period=repair_period,
         **kwargs,
     )
+
+
+def make_copy(node_id, level, low, high, items, right_id, members):
+    copy = NodeCopy(
+        node_id,
+        level,
+        KeyRange(low, high),
+        pc_pid=min(members),
+        copy_versions=members,
+        capacity=8,
+        right_id=right_id,
+    )
+    for key, payload in items:
+        copy.insert_entry(key, payload)
+    return copy
 
 
 def spaced_inserts(cluster, count=120, spacing=10.0):
@@ -194,11 +211,22 @@ class TestDigests:
         assert copy.mut > mut_before
         assert copy_digest(copy) != before
 
-    def test_combine_is_order_independent(self):
-        rows = [(1, "C", 111), (2, "M", 222), (3, "C", 333)]
-        assert combine(rows) == combine(reversed(rows))
-        assert combine(rows) != combine(rows[:2])
-        assert combine(()) == combine([])
+    def test_digest_values_are_pinned(self):
+        # Literal values: a change to the digest formula (or to how
+        # its payload tuple is built) must not move them.
+        pinned = [
+            (make_copy(1, 0, NEG_INF, POS_INF, [], None, {0: 0}),
+             12307754705531608387),
+            (make_copy(2, 0, 10, 50, [(12, "a"), (30, ("t", 1)), (11, None)],
+                       7, {2: 3}),
+             2139162954579612420),
+            (make_copy(3, 1, NEG_INF, 100, [(NEG_INF, 4), (40, 5), (70, 6)],
+                       None, {0: 0, 1: 2, 3: 1}),
+             9477230660784594137),
+        ]
+        for copy, digest in pinned:
+            assert copy_digest(copy) == digest
+            assert snapshot_digest(copy.snapshot()) == digest
 
     def test_digest_index_caches_until_mutation(self):
         cluster = repair_cluster()
@@ -230,6 +258,75 @@ class TestDigests:
         assert summary["rounds_started"] > 0
         assert summary["rounds_diverged"] == 0
         assert cluster.check().ok
+
+
+# ----------------------------------------------------------------------
+# roll-ups: per-bucket sums of per-row terms
+# ----------------------------------------------------------------------
+def replicated(node_id, items, members=(0, 1)):
+    """A copy replicated at ``members`` (a C row at pid 0 for pid 1)."""
+    return make_copy(
+        node_id, 1, NEG_INF, POS_INF, items, None, {pid: 0 for pid in members}
+    )
+
+
+def view_of(store, mirrors=None, buckets=4, pid=0, peer=1):
+    return DigestIndex(buckets).view(pid, peer, store, mirrors)
+
+
+class TestRollUps:
+    def test_insertion_order_does_not_change_the_roll_up(self):
+        copies = [replicated(nid, [(nid, nid)]) for nid in range(1, 10)]
+        forward = view_of({c.node_id: c for c in copies})
+        backward = view_of({c.node_id: c for c in reversed(copies)})
+        assert forward.rows == backward.rows
+        assert forward.buckets == backward.buckets
+        assert forward.top == backward.top
+        assert len(forward.rows) == 9
+
+    def test_put_then_remove_restores_the_sums(self):
+        store = {nid: replicated(nid, [(nid, "x")]) for nid in range(1, 6)}
+        index = DigestIndex(4)
+        before = list(index.view(0, 1, store, None).buckets)
+        store[7] = replicated(7, [(7, "y")])
+        grown = index.view(0, 1, store, None)
+        assert grown.buckets != before
+        del store[7]
+        assert index.view(0, 1, store, None).buckets == before
+        store[3].insert_entry(33, "z")
+        assert index.view(0, 1, store, None).buckets != before
+        store[3].delete_entry(33)
+        assert index.view(0, 1, store, None).buckets == before
+
+    def test_swapping_two_rows_digests_changes_the_top(self):
+        a, b = [(1, "a")], [(2, "b")]
+        straight = view_of({1: replicated(1, a), 2: replicated(2, b)})
+        swapped = view_of({1: replicated(1, b), 2: replicated(2, a)})
+        assert sorted(r[1] for r in straight.rows.values()) == sorted(
+            r[1] for r in swapped.rows.values()
+        )
+        assert straight.top != swapped.top
+
+    def test_c_row_and_m_row_with_equal_digests_differ(self):
+        copy = replicated(5, [(1, "a")])
+        as_copy = view_of({5: copy})
+        as_mirror = view_of({}, {5: (1, copy.snapshot())})
+        assert as_copy.rows[5][0] == "C" and as_mirror.rows[5][0] == "M"
+        assert as_copy.rows[5][1] == as_mirror.rows[5][1]
+        assert as_copy.buckets != as_mirror.buckets
+
+    def test_mirror_row_overrides_and_restores_a_copy_row(self):
+        copy = replicated(5, [(1, "a")])
+        store = {5: copy}
+        mirrors = {5: (1, replicated(5, [(2, "b")]).snapshot())}
+        index = DigestIndex(4)
+        alone = list(index.view(0, 1, store, None).buckets)
+        shadowed = index.view(0, 1, store, mirrors)
+        assert shadowed.rows[5][0] == "M" and shadowed.hidden == {5}
+        mirrors.clear()
+        restored = index.view(0, 1, store, mirrors)
+        assert restored.rows[5][0] == "C" and not restored.hidden
+        assert restored.buckets == alone
 
 
 # ----------------------------------------------------------------------
